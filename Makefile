@@ -71,12 +71,20 @@ MEM_BENCH = BenchmarkMemAccessWord|BenchmarkMemAccessVector
 # instant stub worker, so ns/op is pure coordination overhead; it rides the
 # same trajectory file with -threads 0 (threads/sec is an engine notion).
 FLEET_BENCH = BenchmarkCoordinatorDispatch
+# The SIMT pipeline benchmark runs every registry kernel at scale 1 per op,
+# each on a fresh machine and memory image, so every op simulates the same
+# cycles. Besides ns/op it reports warp-instrs/op (simulated, machine-
+# independent) and ns/warp-instr; it rides the same trajectory file with
+# -threads 0.
+SIMT_BENCH = BenchmarkSIMTRun
 bench:
 	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchtime 100x ./internal/engine/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 512 -check
 	$(GO) test -run '^$$' -bench '$(MEM_BENCH)' -benchtime 2000x ./internal/mem/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
 	$(GO) test -run '^$$' -bench '$(FLEET_BENCH)' -benchtime 20x ./internal/fleet/ | \
+		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
+	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 3x ./internal/simt/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
 	$(GO) test -run '^$$' -bench BenchmarkRunAllParallel -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench BenchmarkSuiteColdVsWarm -benchtime 1x ./internal/bench/
@@ -90,6 +98,8 @@ bench-record:
 	$(GO) test -run '^$$' -bench '$(MEM_BENCH)' -benchtime 20000x -count 3 ./internal/mem/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
 	$(GO) test -run '^$$' -bench '$(FLEET_BENCH)' -benchtime 100x -count 3 ./internal/fleet/ | \
+		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
+	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 10x -count 3 ./internal/simt/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
 
 # trace-check runs one small kernel on all three backends with tracing on,

@@ -57,6 +57,9 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
+// readHeaderTimeout caps how long the server waits for a request's headers.
+const readHeaderTimeout = 10 * time.Second
+
 func run(args []string) int {
 	fs := flag.NewFlagSet("vgiwd", flag.ExitOnError)
 	var (
@@ -97,16 +100,23 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "vgiwd: %v\n", err)
 		return 1
 	}
-	// The bound address goes to stdout so scripts using -addr :0 (the
-	// serve-check gate, test rigs) can discover the port.
-	fmt.Printf("vgiwd listening on %s\n", ln.Addr())
+	// Take over SIGINT/SIGTERM before anyone can learn the address: a
+	// client that signals the moment it reads the announcement (or the
+	// moment its first job completes) must get a drain, not the default
+	// action that kills the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
 
-	hs := &http.Server{Handler: s.Handler()}
+	// ReadHeaderTimeout bounds how long a connection may dribble its
+	// request headers, so idle or slow clients cannot pin connections.
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	// The bound address goes to stdout so scripts using -addr :0 (the
+	// serve-check gate, test rigs) can discover the port.
+	fmt.Printf("vgiwd listening on %s\n", ln.Addr())
 
 	select {
 	case got := <-sig:

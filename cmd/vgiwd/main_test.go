@@ -270,6 +270,24 @@ func TestServeCheckStore(t *testing.T) {
 	drainDaemon(t, daemon2, stderr2)
 }
 
+// TestEarlySignalDrains is the regression test for the early-signal race:
+// the daemon used to announce its address and start serving before it
+// installed its SIGINT/SIGTERM handler, so a SIGTERM sent the instant the
+// announcement was read could take the default action and kill the process.
+// Every boot here is signalled the moment its announcement line is read and
+// must drain cleanly.
+func TestEarlySignalDrains(t *testing.T) {
+	bin := buildDaemon(t)
+	const boots = 25
+	for i := 0; i < boots; i++ {
+		daemon, _, stderr := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-workers", "1")
+		drainDaemon(t, daemon, stderr)
+		if !strings.Contains(stderr.String(), "vgiwd: drained") {
+			t.Fatalf("boot %d: exit 0 without a drain; stderr:\n%s", i, stderr.String())
+		}
+	}
+}
+
 func TestVersionFlag(t *testing.T) {
 	// In-process: run() handles -version without touching the network.
 	var out strings.Builder

@@ -16,7 +16,8 @@ type DataEnv struct {
 	Shared [][]uint32 // indexed by CTA
 	Sys    *mem.System
 
-	wr []bool // batch scratch for AccessMemVector, reused across waves
+	geom *kir.Geom // Launch's division-free geometry (Geometry hook, CTA lookups)
+	wr   []bool    // batch scratch for AccessMemVector, reused across waves
 }
 
 // NewDataEnv allocates the per-CTA scratchpads for a kernel launch.
@@ -32,7 +33,7 @@ func NewDataEnv(k *kir.Kernel, launch kir.Launch, global []uint32, sys *mem.Syst
 	for i := range shared {
 		shared[i] = make([]uint32, k.SharedWds)
 	}
-	return &DataEnv{Launch: launch, Global: global, Shared: shared, Sys: sys}, nil
+	return &DataEnv{Launch: launch, Global: global, Shared: shared, Sys: sys, geom: launch.NewGeom()}, nil
 }
 
 // Hooks builds the engine hooks for this environment. Branch and AccessLV
@@ -40,7 +41,7 @@ func NewDataEnv(k *kir.Kernel, launch kir.Launch, global []uint32, sys *mem.Syst
 func (d *DataEnv) Hooks() *Hooks {
 	return &Hooks{
 		Param:           func(i int) uint32 { return d.Launch.Params[i] },
-		Geometry:        d.Launch.Geometry,
+		Geometry:        d.geom.At,
 		AccessMem:       d.accessMem,
 		AccessMemVector: d.accessMemVector,
 		AccessMemFast: func(space Space, addr int64, write bool, value uint32, tid int) (uint32, error) {
@@ -58,7 +59,7 @@ func (d *DataEnv) Hooks() *Hooks {
 				}
 				return d.Global[addr], nil
 			case SpaceShared:
-				cta := d.Launch.CTAOf(tid)
+				cta := d.geom.CTAOf(tid)
 				sh := d.Shared[cta]
 				if addr < 0 || addr >= int64(len(sh)) {
 					return 0, fmt.Errorf("engine: thread %d: shared %s out of bounds: %d (size %d)",
@@ -91,7 +92,7 @@ func (d *DataEnv) accessMem(space Space, addr int64, write bool, value uint32, t
 		}
 		return d.Global[addr], done, nil
 	case SpaceShared:
-		cta := d.Launch.CTAOf(tid)
+		cta := d.geom.CTAOf(tid)
 		sh := d.Shared[cta]
 		if addr < 0 || addr >= int64(len(sh)) {
 			return 0, 0, fmt.Errorf("engine: thread %d: shared %s out of bounds: %d (size %d)",

@@ -131,13 +131,20 @@ type stackEntry struct {
 	mask  uint32
 }
 
-type warp struct {
-	id    int
-	cta   int
-	lanes []int // global thread IDs (one per lane; -1 for absent)
+// laneStride is the width of one register plane. The execution mask is a
+// uint32, so a warp never has more than 32 lanes.
+const laneStride = 32
 
-	regs     [][]uint32 // [lane][reg]
-	regReady []int64    // scoreboard: cycle each register's value is ready
+type warp struct {
+	id   int
+	cta  int
+	tid0 int // global thread ID of lane 0; lane l runs thread tid0+l
+	loc0 int // CTA-local index of lane 0 (indexes the geometry tables)
+
+	// rf holds the warp's registers reg-major, one 32-lane plane per
+	// register: lane l of register r is rf[r*laneStride+l].
+	rf       []uint32
+	regReady []int64 // scoreboard: cycle each register's value is ready
 
 	stack   []stackEntry
 	active  uint32 // lanes that have not returned
@@ -146,19 +153,63 @@ type warp struct {
 	atBarrier bool
 	done      bool
 
-	// Issue-readiness cache: the scoreboard half of earliestIssue (readyAt
-	// folded with the operand regReady of the warp's next instruction),
-	// memoized until the warp issues or a barrier release bumps readyAt.
-	// Those are the only events that change it — regReady is per-warp and
-	// only the warp's own issues write it. The execution-port half is global
-	// and read live. issuePort is the next instruction's port, -1 for
-	// terminators (which need no port).
-	issueReady int64
-	issuePort  int
-	issueValid bool
+	// Scheduler state, recomputed eagerly at the only events that change it
+	// (the warp's issue, its terminator, a barrier release): sbReady is the
+	// scoreboard half of the issue time — readyAt folded with the regReady
+	// of the next instruction's operands — and port is the execution port
+	// that instruction needs (portTerm for terminators). queued reports that
+	// the warp sits in one of its port's queues (sched); nextDue chains it
+	// within a wheel slot.
+	sbReady int64
+	port    int
+	queued  bool
+	nextDue *warp
 }
 
 func (w *warp) top() *stackEntry { return &w.stack[len(w.stack)-1] }
+
+// plane returns register reg's 32-lane vector.
+func (w *warp) plane(reg kir.Reg) *[laneStride]uint32 {
+	return (*[laneStride]uint32)(w.rf[int(reg)*laneStride:])
+}
+
+// uop is one decoded slot of a block: an instruction, or the block's
+// terminator as the slot after its last instruction. Decoding resolves the
+// per-op facts the issue loop needs once per run rather than once per issue.
+type uop struct {
+	in   kir.Instr  // the instruction (zero for the terminator slot)
+	src  [3]kir.Reg // scoreboard operands: the sources, or a branch's condition
+	nsrc int
+	port int // execution port; portTerm for the terminator slot
+	lat  int64
+	dst  bool // writes a register
+	fp   bool // floating-point op
+}
+
+// decode lays out the kernel's slots block by block, in one allocation.
+func decode(k *kir.Kernel) [][]uop {
+	n := 0
+	for _, b := range k.Blocks {
+		n += len(b.Instrs) + 1
+	}
+	flat := make([]uop, n)
+	prog := make([][]uop, len(k.Blocks))
+	for bi, b := range k.Blocks {
+		slots := flat[:len(b.Instrs)+1]
+		flat = flat[len(slots):]
+		for i, in := range b.Instrs {
+			slots[i] = uop{in: in, src: in.Src, nsrc: in.Op.NumSrc(), port: portOf(in.Op),
+				lat: engine.OpLatency(in.Op), dst: in.Op.HasDst(), fp: in.Op.IsFloat()}
+		}
+		term := &slots[len(b.Instrs)]
+		term.port = portTerm
+		if b.Term.Kind == kir.TermBranch {
+			term.src[0], term.nsrc = b.Term.Cond, 1
+		}
+		prog[bi] = slots
+	}
+	return prog
+}
 
 // Machine is the SM simulator.
 type Machine struct {
@@ -190,7 +241,9 @@ func (m *Machine) RunCtx(ctx context.Context, ck *compile.CompiledKernel, launch
 		ctx:    ctx,
 		k:      k,
 		ipdom:  ck.IPDom,
+		prog:   decode(k),
 		launch: launch,
+		geom:   launch.NewGeom(),
 		global: global,
 		sys:    mem.NewSystem(m.cfg.Mem),
 		res:    &Result{Kernel: k.Name, Threads: launch.Threads()},
@@ -225,25 +278,34 @@ type run struct {
 	ctx    context.Context
 	k      *kir.Kernel
 	ipdom  []int
+	prog   [][]uop // decoded slots per block (decode)
 	launch kir.Launch
+	geom   *kir.Geom
 	global []uint32
 	shared [][]uint32
 	sys    *mem.System
 	res    *Result
 
-	warps    []*warp
-	nextCTA  int
-	liveCTA  map[int]int // cta -> live warps
-	barriers map[int]int // cta -> warps waiting
-	cycle    int64
-	lastPick int   // LRR rotation cursor (index into warps; reset by compact)
-	greedy   *warp // GTO greedy target, tracked by identity: compact()
-	// renumbers warp IDs, so an index or ID would silently redirect the
-	// greedy policy to a different warp across compaction.
+	// warps lists resident warps in admission (= age) order, retired ones
+	// included until compact drops them; a warp's id is its index here.
+	warps []*warp
+	// spareRF/spareReady hold the register planes and scoreboards of
+	// retired warps for reuse, so a run allocates them only for its peak
+	// number of resident warps.
+	spareRF    [][]uint32
+	spareReady [][]int64
+	live       int // warps not yet retired
+	nextCTA    int
+	liveCTA    []int // per CTA: live warps
+	ctasLive   int   // CTAs with at least one live warp
+	barriers   []int // per CTA: warps waiting at the barrier
+	cycle      int64
+	sched
 
 	// Shared execution ports: next cycle the ALU array / SFUs / LD-ST
-	// units accept a new warp instruction.
-	portFree [3]int64
+	// units accept a new warp instruction. portFree[portTerm] stays 0:
+	// terminators need no port.
+	portFree [numPorts]int64
 
 	// memScratch dedupes line/bank ids in execMem. Reused across
 	// instructions so the hot path allocates nothing; lane order (not map
@@ -288,11 +350,14 @@ func (r *run) sampleMem() {
 		K1: "reads", V1: int64(ms.DRAM.Reads), K2: "writes", V2: int64(ms.DRAM.Writes)})
 }
 
-// Execution port indices.
+// Execution port indices. portTerm is the pseudo-port of block terminators,
+// which occupy no execution unit.
 const (
 	portALU = iota
 	portSFU
 	portMEM
+	portTerm
+	numPorts
 )
 
 // portOf classifies an instruction onto an execution port.
@@ -306,6 +371,9 @@ func portOf(op kir.Op) int {
 	return portALU
 }
 
+// noEvent is the idle jump's "no warp can ever issue" sentinel.
+const noEvent = int64(1<<62 - 1)
+
 // execute drives the warp schedulers until every CTA has completed.
 func (r *run) execute() error {
 	ctaSize := r.launch.CTASize()
@@ -313,8 +381,10 @@ func (r *run) execute() error {
 	if warpsPerCTA > r.m.cfg.MaxWarps {
 		return fmt.Errorf("simt: CTA of %d threads exceeds %d resident warps", ctaSize, r.m.cfg.MaxWarps)
 	}
-	r.liveCTA = make(map[int]int)
-	r.barriers = make(map[int]int)
+	nCTAs := r.launch.CTAs()
+	r.liveCTA = make([]int, nCTAs)
+	r.barriers = make([]int, nCTAs)
+	r.initSched()
 
 	// Cooperative cancellation: one ctx poll per ctxCheckCycles scheduling
 	// rounds keeps the per-cycle cost negligible while bounding cancellation
@@ -331,17 +401,17 @@ func (r *run) execute() error {
 		}
 		// Admit resident CTAs up to the occupancy limits; compact retired
 		// warps away once they dominate the list.
-		for r.nextCTA < r.launch.CTAs() &&
-			len(r.liveCTA) < r.m.cfg.MaxCTAs &&
-			r.liveWarps()+warpsPerCTA <= r.m.cfg.MaxWarps {
+		for r.nextCTA < nCTAs &&
+			r.ctasLive < r.m.cfg.MaxCTAs &&
+			r.live+warpsPerCTA <= r.m.cfg.MaxWarps {
 			r.admitCTA(r.nextCTA, warpsPerCTA)
 			r.nextCTA++
 		}
 		if len(r.warps) > 4*r.m.cfg.MaxWarps {
 			r.compact()
 		}
-		if r.liveWarps() == 0 {
-			if r.nextCTA >= r.launch.CTAs() {
+		if r.live == 0 {
+			if r.nextCTA >= nCTAs {
 				return nil
 			}
 			continue
@@ -353,6 +423,7 @@ func (r *run) execute() error {
 			if w == nil {
 				break
 			}
+			r.dequeue(w)
 			if err := r.issue(w); err != nil {
 				return err
 			}
@@ -364,190 +435,95 @@ func (r *run) execute() error {
 			continue
 		}
 		// Nothing issuable this cycle: jump to the next event.
-		next := int64(1<<62 - 1)
-		for _, w := range r.warps {
-			if w.done || w.atBarrier {
-				continue
-			}
-			if t := r.earliestIssue(w); t < next {
-				next = t
-			}
-		}
-		if next >= 1<<62-1 {
+		next := r.nextEvent()
+		if next >= noEvent {
 			return fmt.Errorf("simt: deadlock at cycle %d (all warps blocked)", r.cycle)
 		}
 		if next <= r.cycle {
 			next = r.cycle + 1
+		}
+		if debugVerifySchedule != nil {
+			debugVerifySchedule.jump(r, next)
 		}
 		if r.sink.Enabled(trace.CatSIMT) {
 			// An issue-less gap: every resident warp is stalled on the
 			// scoreboard, an execution port, or a barrier.
 			r.sink.Emit(trace.Event{Name: "stall", Cat: trace.CatSIMT, Phase: trace.PhaseSpan,
 				Track: r.tr.sched, Ts: r.cycle, Dur: next - r.cycle,
-				K1: "warps", V1: int64(r.liveWarps())})
+				K1: "warps", V1: int64(r.live)})
 		}
 		r.cycle = next
 		r.sampleMem()
 	}
 }
 
-// compact drops retired warps and renumbers the rest. The GTO greedy target
-// is held by pointer, so it survives renumbering; only a retired target is
-// dropped.
-func (r *run) compact() {
-	live := r.warps[:0]
-	for _, w := range r.warps {
-		if !w.done {
-			w.id = len(live)
-			live = append(live, w)
-		}
-	}
-	r.warps = live
-	r.lastPick = 0
-	if r.greedy != nil && r.greedy.done {
-		r.greedy = nil
-	}
-}
-
-func (r *run) liveWarps() int {
-	n := 0
-	for _, w := range r.warps {
-		if !w.done {
-			n++
-		}
-	}
-	return n
-}
-
+// admitCTA makes the CTA's warps resident and queues them.
 func (r *run) admitCTA(cta, warpsPerCTA int) {
 	ctaSize := r.launch.CTASize()
-	base := cta * ctaSize
+	ws := r.m.cfg.WarpSize
 	for wi := 0; wi < warpsPerCTA; wi++ {
+		loc0 := wi * ws
+		lanes := min(ws, ctaSize-loc0)
+		mask := uint32(uint64(1)<<lanes - 1)
 		w := &warp{
-			id:       len(r.warps),
-			cta:      cta,
-			lanes:    make([]int, r.m.cfg.WarpSize),
-			regs:     make([][]uint32, r.m.cfg.WarpSize),
-			regReady: make([]int64, r.k.NumRegs),
-			readyAt:  r.cycle,
+			id: len(r.warps), cta: cta, tid0: cta*ctaSize + loc0, loc0: loc0,
+			stack:   []stackEntry{{block: 0, instr: 0, rpc: -1, mask: mask}},
+			active:  mask,
+			readyAt: r.cycle,
 		}
-		var mask uint32
-		for l := 0; l < r.m.cfg.WarpSize; l++ {
-			t := wi*r.m.cfg.WarpSize + l
-			if t < ctaSize {
-				w.lanes[l] = base + t
-				w.regs[l] = make([]uint32, r.k.NumRegs)
-				mask |= 1 << l
-			} else {
-				w.lanes[l] = -1
-			}
-		}
-		w.active = mask
-		w.stack = []stackEntry{{block: 0, instr: 0, rpc: -1, mask: mask}}
+		w.rf, w.regReady = r.takeRegs()
 		r.warps = append(r.warps, w)
+		r.live++
 		r.liveCTA[cta]++
+		r.schedule(w)
 	}
+	r.ctasLive++
 }
 
-// debugVerifyIssueCache, set by tests only, recomputes the scoreboard scan
-// on every cached earliestIssue read and panics if the memoized value ever
-// diverges from the fresh one.
-var debugVerifyIssueCache bool
-
-// earliestIssue computes when the warp's next instruction could issue. The
-// scoreboard half is memoized per warp (the scheduler polls every stalled
-// warp each idle cycle, but the answer only changes when the warp issues or
-// a barrier release bumps readyAt); the shared execution ports are read live.
-func (r *run) earliestIssue(w *warp) int64 {
-	if !w.issueValid {
-		w.issueReady, w.issuePort = r.scoreboardReady(w)
-		w.issueValid = true
-	} else if debugVerifyIssueCache {
-		ready, port := r.scoreboardReady(w)
-		if ready != w.issueReady || port != w.issuePort {
-			panic(fmt.Sprintf("simt: stale issue cache for warp %d: cached (%d, port %d), fresh (%d, port %d)",
-				w.id, w.issueReady, w.issuePort, ready, port))
-		}
+// takeRegs returns zeroed register planes and scoreboard for a new warp,
+// reusing a retired warp's storage where it can.
+func (r *run) takeRegs() ([]uint32, []int64) {
+	n := len(r.spareRF)
+	if n == 0 {
+		return make([]uint32, r.k.NumRegs*laneStride), make([]int64, r.k.NumRegs)
 	}
-	t := w.issueReady
-	if w.issuePort >= 0 {
-		if pf := r.portFree[w.issuePort]; pf > t {
-			t = pf
-		}
-	}
-	return t
+	rf, ready := r.spareRF[n-1], r.spareReady[n-1]
+	r.spareRF, r.spareReady = r.spareRF[:n-1], r.spareReady[:n-1]
+	clear(rf)
+	clear(ready)
+	return rf, ready
 }
 
 // scoreboardReady scans the warp's next instruction: the cycle its operands
-// and the warp itself are ready, plus the execution port it needs (-1 for
-// terminators).
+// and the warp itself are ready, plus the execution port it needs.
 func (r *run) scoreboardReady(w *warp) (int64, int) {
 	t := w.readyAt
 	e := w.top()
-	blk := r.k.Blocks[e.block]
-	if e.instr < len(blk.Instrs) {
-		in := blk.Instrs[e.instr]
-		for i := 0; i < in.Op.NumSrc(); i++ {
-			if rr := w.regReady[in.Src[i]]; rr > t {
-				t = rr
-			}
-		}
-		return t, portOf(in.Op)
-	}
-	if blk.Term.Kind == kir.TermBranch {
-		if rr := w.regReady[blk.Term.Cond]; rr > t {
+	u := &r.prog[e.block][e.instr]
+	for _, s := range u.src[:u.nsrc] {
+		if rr := w.regReady[s]; rr > t {
 			t = rr
 		}
 	}
-	return t, -1
+	return t, u.port
 }
 
-// pickWarp selects a ready warp according to the configured policy.
-func (r *run) pickWarp() *warp {
-	n := len(r.warps)
-	if n == 0 {
-		return nil
-	}
-	if r.m.cfg.Scheduler == SchedGTO {
-		// Greedy: stay on the last issued warp while it remains ready.
-		if w := r.greedy; w != nil && !w.done && !w.atBarrier && r.earliestIssue(w) <= r.cycle {
-			return w
-		}
-		// Then oldest: lowest warp ID that is ready (admission order is
-		// age order, and compact preserves it).
-		for _, w := range r.warps {
-			if w.done || w.atBarrier {
-				continue
-			}
-			if r.earliestIssue(w) <= r.cycle {
-				r.greedy = w
-				return w
-			}
-		}
-		return nil
-	}
-	// Loose round robin.
-	for i := 0; i < n; i++ {
-		w := r.warps[(r.lastPick+1+i)%n]
-		if w.done || w.atBarrier {
-			continue
-		}
-		if r.earliestIssue(w) <= r.cycle {
-			r.lastPick = w.id
-			return w
-		}
-	}
-	return nil
-}
-
-// issue executes one warp instruction (or terminator) at the current cycle.
+// issue executes one warp instruction (or terminator) at the current cycle,
+// then requeues the warp unless it retired or waits at a barrier (a barrier
+// release queues the warps it wakes itself).
 func (r *run) issue(w *warp) error {
 	e := w.top()
-	blk := r.k.Blocks[e.block]
-	if e.instr < len(blk.Instrs) {
-		return r.issueInstr(w, blk.Instrs[e.instr])
+	u := &r.prog[e.block][e.instr]
+	var err error
+	if u.port == portTerm {
+		r.issueTerm(w, r.k.Blocks[e.block].Term)
+	} else {
+		err = r.issueInstr(w, u)
 	}
-	return r.issueTerm(w, blk.Term)
+	if err == nil && !w.done && !w.atBarrier && !w.queued {
+		r.schedule(w)
+	}
+	return err
 }
 
 // countRF charges register-file traffic for one issued warp instruction.
@@ -558,21 +534,21 @@ func (r *run) countRF(reads, writes int) {
 	r.res.RFWarpAccesses += uint64(reads + writes)
 }
 
-func (r *run) issueInstr(w *warp, in kir.Instr) error {
+func (r *run) issueInstr(w *warp, u *uop) error {
+	in := &u.in
 	e := w.top()
 	mask := e.mask
 	lanesOn := bits.OnesCount32(mask)
 	r.res.WarpInstrs++
 	r.res.ThreadInstrs += uint64(lanesOn)
 	r.res.MaskedLanes += uint64(bits.OnesCount32(w.active &^ mask))
-	r.countRF(in.Op.NumSrc(), boolInt(in.Op.HasDst()))
+	r.countRF(u.nsrc, boolInt(u.dst))
 
-	lat := engine.OpLatency(in.Op)
 	occupancy := r.m.cfg.ALUOccupancy
-	done := r.cycle + lat
+	done := r.cycle + u.lat
 
-	switch {
-	case in.Op.IsMemory():
+	switch u.port {
+	case portMEM:
 		r.res.MemOps += uint64(lanesOn)
 		var trans int
 		var err error
@@ -586,25 +562,24 @@ func (r *run) issueInstr(w *warp, in kir.Instr) error {
 		if t := int64(trans); t > occupancy {
 			occupancy = t
 		}
-	case in.Op.Class() == kir.ClassSCU:
+	case portSFU:
 		occupancy = r.m.cfg.SFUOccupancy
 		r.res.SFUOps += uint64(lanesOn)
-		r.execALU(w, in, mask)
+		r.execALU(w, u, mask)
 	default:
 		r.res.ALUOps += uint64(lanesOn)
-		if in.Op.IsFloat() {
+		if u.fp {
 			r.res.FPOps += uint64(lanesOn)
 		}
-		r.execALU(w, in, mask)
+		r.execALU(w, u, mask)
 	}
 
-	if in.Op.HasDst() {
+	if u.dst {
 		w.regReady[in.Dst] = done + r.m.cfg.PipelineLat
 	}
-	r.portFree[portOf(in.Op)] = r.cycle + occupancy
+	r.portFree[u.port] = r.cycle + occupancy
 	w.readyAt = r.cycle + 1
 	e.instr++
-	w.issueValid = false // next instruction, new readyAt, new regReady[dst]
 	if r.sink.Enabled(trace.CatSIMT) {
 		// One span per issued warp instruction: issue to execution-complete
 		// (the op name labels the span; the register writeback lands
@@ -616,31 +591,81 @@ func (r *run) issueInstr(w *warp, in kir.Instr) error {
 	return nil
 }
 
-func (r *run) execALU(w *warp, in kir.Instr, mask uint32) {
-	for l := 0; l < r.m.cfg.WarpSize; l++ {
-		if mask&(1<<l) == 0 {
-			continue
+// zeroPlane stands in for the operand planes of the sources an op does not
+// have, so kir.Eval sees 0 there.
+var zeroPlane [laneStride]uint32
+
+// execALU evaluates one ALU/SFU instruction over the warp's active lanes:
+// operand planes are sliced once, then the set mask bits are walked.
+// kir.Eval is the only definition of op semantics.
+//
+//vgiw:hotpath
+func (r *run) execALU(w *warp, u *uop, mask uint32) {
+	in := &u.in
+	dst := w.plane(in.Dst)
+	switch {
+	case in.Op == kir.OpParam:
+		v := r.launch.Params[in.Imm]
+		for m := mask; m != 0; m &= m - 1 {
+			dst[bits.TrailingZeros32(m)&31] = v
 		}
-		regs := w.regs[l]
-		switch {
-		case in.Op == kir.OpParam:
-			regs[in.Dst] = r.launch.Params[in.Imm]
-		case in.Op.IsGeometry():
-			regs[in.Dst] = r.launch.Geometry(in.Op, w.lanes[l])
+	case in.Op.IsGeometry():
+		r.execGeom(w, in.Op, dst, mask)
+	case u.nsrc == 0:
+		// No register operands (constants): one value for every lane.
+		v := kir.Eval(in.Op, 0, 0, 0, in.Imm)
+		for m := mask; m != 0; m &= m - 1 {
+			dst[bits.TrailingZeros32(m)&31] = v
+		}
+	default:
+		a, b, c := &zeroPlane, &zeroPlane, &zeroPlane
+		switch u.nsrc {
+		case 3:
+			c = w.plane(in.Src[2])
+			fallthrough
+		case 2:
+			b = w.plane(in.Src[1])
+			fallthrough
 		default:
-			var a, b, c uint32
-			n := in.Op.NumSrc()
-			if n > 0 {
-				a = regs[in.Src[0]]
-			}
-			if n > 1 {
-				b = regs[in.Src[1]]
-			}
-			if n > 2 {
-				c = regs[in.Src[2]]
-			}
-			regs[in.Dst] = kir.Eval(in.Op, a, b, c, in.Imm)
+			a = w.plane(in.Src[0])
 		}
+		op, imm := in.Op, in.Imm
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & 31
+			dst[l] = kir.Eval(op, a[l], b[l], c[l], imm)
+		}
+	}
+}
+
+// execGeom resolves a geometry op for the active lanes without dividing:
+// TID is the warp's base plus the lane, TIDX/TIDY read the launch's tables
+// at the warp's CTA-local base, and every other geometry op is uniform over
+// the CTA, so it is resolved once for the warp instruction.
+//
+//vgiw:hotpath
+func (r *run) execGeom(w *warp, op kir.Op, dst *[laneStride]uint32, mask uint32) {
+	var table []uint32
+	switch op {
+	case kir.OpTID:
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & 31
+			dst[l] = uint32(w.tid0 + l)
+		}
+		return
+	case kir.OpTIDX:
+		table = r.geom.TIDX[w.loc0:]
+	case kir.OpTIDY:
+		table = r.geom.TIDY[w.loc0:]
+	default:
+		v := r.geom.At(op, w.tid0)
+		for m := mask; m != 0; m &= m - 1 {
+			dst[bits.TrailingZeros32(m)&31] = v
+		}
+		return
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m) & 31
+		dst[l] = table[l]
 	}
 }
 
@@ -648,10 +673,23 @@ func (r *run) execALU(w *warp, in kir.Instr, mask uint32) {
 // returns the completion cycle of the slowest transaction plus the number of
 // transactions generated (line transactions for global memory, conflicting
 // bank groups for shared memory).
-func (r *run) execMem(w *warp, in kir.Instr, mask uint32) (int64, int, error) {
+func (r *run) execMem(w *warp, in *kir.Instr, mask uint32) (int64, int, error) {
 	write := in.Op.IsStore()
 	sharedSpace := in.Op.IsShared()
 	lineWords := int64(r.m.cfg.Mem.L1.LineBytes / 4)
+	banks := int64(r.m.cfg.Mem.SharedBanks)
+
+	addrs := w.plane(in.Src[0])
+	var data *[laneStride]uint32 // stored values (stores) or the destination (loads)
+	if write {
+		data = w.plane(in.Src[1])
+	} else {
+		data = w.plane(in.Dst)
+	}
+	space := r.global
+	if sharedSpace {
+		space = r.shared[w.cta]
+	}
 
 	done := r.cycle + 1
 	// ids collects the distinct line (global) or bank (shared) numbers the
@@ -659,44 +697,36 @@ func (r *run) execMem(w *warp, in kir.Instr, mask uint32) (int64, int, error) {
 	// is at most 32 lanes wide, and unlike a map the resulting access order
 	// is reproducible (bank/port timing depends on it).
 	ids := r.memScratch[:0]
-	addID := func(id int64) {
-		for _, v := range ids {
-			if v == id {
-				return
+	for m := mask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m) & 31
+		addr := int64(int32(addrs[l]) + in.Imm)
+		if addr < 0 || addr >= int64(len(space)) {
+			kind := "global"
+			if sharedSpace {
+				kind = "shared"
 			}
-		}
-		ids = append(ids, id)
-	}
-	for l := 0; l < r.m.cfg.WarpSize; l++ {
-		if mask&(1<<l) == 0 {
-			continue
-		}
-		regs := w.regs[l]
-		addr := int64(int32(regs[in.Src[0]]) + in.Imm)
-		if sharedSpace {
-			sh := r.shared[w.cta]
-			if addr < 0 || addr >= int64(len(sh)) {
-				return 0, 0, fmt.Errorf("simt: thread %d: shared access out of bounds: %d (size %d)",
-					w.lanes[l], addr, len(sh))
-			}
-			if write {
-				sh[addr] = regs[in.Src[1]]
-			} else {
-				regs[in.Dst] = sh[addr]
-			}
-			addID(addr % int64(r.m.cfg.Mem.SharedBanks))
-			continue
-		}
-		if addr < 0 || addr >= int64(len(r.global)) {
-			return 0, 0, fmt.Errorf("simt: thread %d: global access out of bounds: %d (size %d)",
-				w.lanes[l], addr, len(r.global))
+			return 0, 0, fmt.Errorf("simt: thread %d: %s access out of bounds: %d (size %d)",
+				w.tid0+l, kind, addr, len(space))
 		}
 		if write {
-			r.global[addr] = regs[in.Src[1]]
+			space[addr] = data[l]
 		} else {
-			regs[in.Dst] = r.global[addr]
+			data[l] = space[addr]
 		}
-		addID(addr / lineWords)
+		id := addr / lineWords
+		if sharedSpace {
+			id = addr % banks
+		}
+		dup := false
+		for _, v := range ids {
+			if v == id {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			ids = append(ids, id)
+		}
 	}
 	r.memScratch = ids
 
@@ -722,7 +752,7 @@ func (r *run) execMem(w *warp, in kir.Instr, mask uint32) (int64, int, error) {
 
 // issueTerm executes a block terminator: branch resolution, divergence-stack
 // maintenance, reconvergence pops, barrier arrival, and thread retirement.
-func (r *run) issueTerm(w *warp, t kir.Terminator) error {
+func (r *run) issueTerm(w *warp, t kir.Terminator) {
 	e := w.top()
 	r.res.WarpInstrs++
 	r.res.ThreadInstrs += uint64(bits.OnesCount32(e.mask))
@@ -738,7 +768,7 @@ func (r *run) issueTerm(w *warp, t kir.Terminator) error {
 		r.popEmpty(w)
 		if w.active == 0 || len(w.stack) == 0 {
 			r.retireWarp(w)
-			return nil
+			return
 		}
 
 	case kir.TermJump:
@@ -748,17 +778,15 @@ func (r *run) issueTerm(w *warp, t kir.Terminator) error {
 
 	case kir.TermBranch:
 		r.countRF(1, 0) // the condition register read
-		var maskThen, maskElse uint32
-		for l := 0; l < r.m.cfg.WarpSize; l++ {
-			if e.mask&(1<<l) == 0 {
-				continue
-			}
-			if w.regs[l][t.Cond] != 0 {
+		cond := w.plane(t.Cond)
+		var maskThen uint32
+		for m := e.mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & 31
+			if cond[l] != 0 {
 				maskThen |= 1 << l
-			} else {
-				maskElse |= 1 << l
 			}
 		}
+		maskElse := e.mask &^ maskThen
 		switch {
 		case maskElse == 0:
 			e.block, e.instr = t.Then, 0
@@ -784,9 +812,7 @@ func (r *run) issueTerm(w *warp, t kir.Terminator) error {
 	}
 
 	w.readyAt = r.cycle + 1 + r.m.cfg.BranchLat
-	w.issueValid = false // control moved and readyAt changed
 	r.checkBarrier(w)
-	return nil
 }
 
 // reconverge pops stack levels whose control reached their reconvergence
@@ -827,9 +853,13 @@ func (r *run) retireWarp(w *warp) {
 		return
 	}
 	w.done = true
-	r.liveCTA[w.cta]--
-	if r.liveCTA[w.cta] == 0 {
-		delete(r.liveCTA, w.cta)
+	r.live--
+	// A retired warp never reads its registers again.
+	r.spareRF = append(r.spareRF, w.rf)
+	r.spareReady = append(r.spareReady, w.regReady)
+	w.rf, w.regReady = nil, nil
+	if r.liveCTA[w.cta]--; r.liveCTA[w.cta] == 0 {
+		r.ctasLive--
 	}
 	r.releaseBarrier(w.cta)
 }
@@ -855,7 +885,8 @@ func (r *run) checkBarrier(w *warp) {
 	r.releaseBarrier(w.cta)
 }
 
-// releaseBarrier opens the barrier once every live warp of the CTA waits.
+// releaseBarrier opens the barrier once every live warp of the CTA waits,
+// and queues the released warps.
 func (r *run) releaseBarrier(cta int) {
 	if r.barriers[cta] == 0 {
 		return
@@ -869,7 +900,7 @@ func (r *run) releaseBarrier(cta int) {
 			if w.readyAt < r.cycle+1 {
 				w.readyAt = r.cycle + 1
 			}
-			w.issueValid = false // readyAt may have moved
+			r.schedule(w)
 		}
 	}
 	if r.sink.Enabled(trace.CatSIMT) {
